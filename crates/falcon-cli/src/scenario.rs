@@ -44,13 +44,15 @@
 //! comma-separated list of backbone capacities in Mbps, and `transfers`,
 //! `arrivals_per_min`, `mean_file_mb`, `anchor_gb`, `tuner` parameterize
 //! the workload. `duration` and `seed` still come from the top level.
-//! Fleet tuners include the learning family (`rl:bandit`, `rl:q`,
-//! `rl:warm`); an optional `[optimizer]` section tunes their knobs
-//! (`epsilon`, `alpha`, `gamma`, `warm_gbps`), applying to `rl:*`
-//! `[agent]` tuners too.
+//! Every `tuner =` value, in `[agent]` and `[fleet]` alike, is a
+//! [`TunerSpec`] spelling. An optional `[optimizer]` section tunes the
+//! `rl:*` `[agent]` tuners' knobs (`epsilon`, `alpha`, `gamma`,
+//! `warm_gbps`); fleet transfers always use the defaults, so a scenario
+//! with both `[fleet]` and `[optimizer]` is rejected at run time.
 //! Adding `topology = fat-tree:<k>[:local] | dumbbell:<pairs>x<classes> |
 //! dtn:<hubs>x<spokes>` switches the section to the fleet-*scale* engine
-//! (10⁵+ transfers, sharded incremental max-min); the scale-only keys
+//! (10⁵+ transfers, sharded incremental max-min), which runs only
+//! `tuner = fixed:<cc> | rl:bandit | rl:q | rl:warm`; the scale-only keys
 //! `diurnal` (arrival amplitude in `[0,1)`), `failures` (correlated
 //! link-failure waves), `tenants` (churn groups), and `shards` then
 //! shape the soak workload, while `links` and `anchor_gb` are ignored.
@@ -66,17 +68,13 @@
 //! | `kill`          | `agent`                        | crash an agent's transfer process    |
 //! | `revive`        | `agent`                        | bring a killed agent back            |
 
-use falcon_baselines::{GlobusTuner, HarpHistory, HarpTuner};
-use falcon_core::{FalconAgent, SearchBounds, TransferSettings, UtilityFunction};
-use falcon_fleet::{
-    CampaignOutcome, CampaignSpec, FleetTopology, FleetTuner, RlKind, ScaleTuner, Workload,
-};
-use falcon_rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
+pub use falcon_fleet::OptimizerSpec;
+use falcon_fleet::{CampaignOutcome, CampaignSpec, FleetTopology, ScaleTuner, TunerSpec, Workload};
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{TraceLog, Tracer};
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
-use falcon_transfer::runner::{AgentPlan, FixedTuner, Runner, Tuner};
+use falcon_transfer::runner::{AgentPlan, Runner};
 
 use crate::args::ParseError;
 use crate::run::resolve_env;
@@ -84,8 +82,9 @@ use crate::run::resolve_env;
 /// One agent line of a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentSpec {
-    /// Tuner name (`falcon-gd`, `falcon-bo`, `falcon-hc`, `falcon-mp`,
-    /// `rl:bandit`, `rl:q`, `rl:warm`, `globus`, `harp`, `harp-rt`, or
+    /// Tuner spelling, parsed by [`TunerSpec::parse`] at run time
+    /// (`falcon-gd`, `falcon-hc`, `falcon-bo`, `falcon-mp`, `rl:bandit`,
+    /// `rl:q`, `rl:warm`, `globus`, `harp`, `harp:<gbps>`, `harp-rt`, or
     /// `fixed:<cc>`).
     pub tuner: String,
     /// Join time (seconds).
@@ -123,8 +122,10 @@ pub struct FleetSpec {
     pub mean_file_mb: f64,
     /// Per-route anchor transfer size (GB); 0 disables anchors.
     pub anchor_gb: f64,
-    /// Tuner for every transfer (`falcon-gd`, `falcon-hc`, `falcon-bo`,
-    /// `fixed:<cc>`).
+    /// Tuner spelling for every transfer, parsed by [`TunerSpec::parse`]
+    /// at run time. The classic engine accepts every spelling an
+    /// [`AgentSpec`] does; the scale engine (`topology` set) only
+    /// `fixed:<cc>`, `rl:bandit`, `rl:q` and `rl:warm`.
     pub tuner: String,
     /// Generated-fabric spec (`fat-tree:<k>[:local]`,
     /// `dumbbell:<pairs>x<classes>`, `dtn:<hubs>x<spokes>`). When set the
@@ -157,36 +158,6 @@ impl Default for FleetSpec {
             failures: 0,
             tenants: 1,
             shards: 8,
-        }
-    }
-}
-
-/// The `[optimizer]` section: knobs for the `rl:*` learning tuners.
-/// Defaults match the `falcon-rl` crate's parameters, so a scenario
-/// without the section behaves exactly like the library constructors;
-/// serialization emits only off-default keys (the canonical form).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizerSpec {
-    /// Bandit exploration-jump probability (`BanditParams::epsilon`).
-    pub epsilon: f64,
-    /// Bandit recency-blend floor (`BanditParams::alpha_floor`).
-    pub alpha: f64,
-    /// Q-learner discount factor (`QParams::gamma`).
-    pub gamma: f64,
-    /// Warm-start corpus capacity in Gbps
-    /// (`HarpHistory::for_capacity_gbps`).
-    pub warm_gbps: f64,
-}
-
-impl Default for OptimizerSpec {
-    fn default() -> Self {
-        let b = BanditParams::new(2, 0);
-        let q = QParams::new(2, 0);
-        OptimizerSpec {
-            epsilon: b.epsilon,
-            alpha: b.alpha_floor,
-            gamma: q.gamma,
-            warm_gbps: 10.0,
         }
     }
 }
@@ -660,80 +631,6 @@ fn make_dataset(spec: &str) -> Result<Dataset, ParseError> {
     }
 }
 
-/// Build an `rl:*` agent with the `[optimizer]` section's knobs applied
-/// over the `falcon-rl` defaults.
-fn make_rl_agent(kind: RlKind, opt: &OptimizerSpec, max_cc: u32, seed: u64) -> FalconAgent {
-    let mut params = BanditParams::new(max_cc, seed);
-    params.epsilon = opt.epsilon;
-    params.alpha_floor = opt.alpha;
-    match kind {
-        RlKind::Bandit => FalconAgent::new(
-            UtilityFunction::falcon_default(),
-            Box::new(BanditOptimizer::new(params)),
-        ),
-        RlKind::Q => {
-            let mut q = QParams::new(max_cc, seed);
-            q.gamma = opt.gamma;
-            FalconAgent::new(
-                UtilityFunction::falcon_default(),
-                Box::new(TabularQOptimizer::new(q)),
-            )
-        }
-        RlKind::Warm => {
-            let history = HarpHistory::for_capacity_gbps(opt.warm_gbps);
-            let table = WarmTable::fit(&history, &params.bounds, 24, seed);
-            FalconAgent::new(
-                UtilityFunction::falcon_default(),
-                Box::new(BanditOptimizer::warm_started(params, &table)),
-            )
-        }
-    }
-}
-
-fn make_tuner(
-    spec: &str,
-    opt: &OptimizerSpec,
-    max_cc: u32,
-    seed: u64,
-) -> Result<Box<dyn Tuner>, ParseError> {
-    if let Some(cc) = spec.strip_prefix("fixed:") {
-        let cc: u32 = cc
-            .parse()
-            .map_err(|_| ParseError(format!("fixed:{cc}: bad concurrency")))?;
-        return Ok(Box::new(FixedTuner {
-            settings: TransferSettings::with_concurrency(cc.max(1)),
-            name: format!("fixed-{cc}"),
-        }));
-    }
-    if let Some(gbps) = spec.strip_prefix("harp:") {
-        let g: f64 = gbps
-            .parse()
-            .map_err(|_| ParseError(format!("harp:{gbps}: bad capacity")))?;
-        return Ok(Box::new(HarpTuner::new(HarpHistory::for_capacity_gbps(g))));
-    }
-    Ok(match spec {
-        "falcon-gd" => Box::new(FalconAgent::gradient_descent(max_cc)),
-        "falcon-bo" => Box::new(FalconAgent::bayesian(max_cc, seed)),
-        "falcon-hc" => Box::new(FalconAgent::hill_climbing(max_cc)),
-        "falcon-mp" => Box::new(FalconAgent::multi_parameter(SearchBounds::multi_parameter(
-            max_cc, 8, 32,
-        ))),
-        "rl:bandit" => Box::new(make_rl_agent(RlKind::Bandit, opt, max_cc, seed)),
-        "rl:q" => Box::new(make_rl_agent(RlKind::Q, opt, max_cc, seed)),
-        "rl:warm" => Box::new(make_rl_agent(RlKind::Warm, opt, max_cc, seed)),
-        "globus" => Box::new(GlobusTuner::for_dataset(&Dataset::uniform_1gb(1000))),
-        "harp" => Box::new(HarpTuner::new(HarpHistory::ten_gig_corpus())),
-        "harp-rt" => {
-            Box::new(HarpTuner::new(HarpHistory::ten_gig_corpus()).with_runtime_retuning(4))
-        }
-        other => {
-            return Err(ParseError(format!(
-                "unknown tuner {other:?} (expected falcon-gd|falcon-bo|falcon-hc|falcon-mp|rl:bandit|rl:q|rl:warm|globus|harp|harp:<gbps>|harp-rt|fixed:<cc>)"
-            )))
-        }
-    })
-}
-
 /// Execute a scenario and return the raw run trace. This is the seam the
 /// determinism regression test drives: same scenario + same seed must yield
 /// a byte-identical serialized trace.
@@ -752,15 +649,24 @@ pub fn run_traced(
     run_with_tracer(sc, Tracer::recording())
 }
 
+/// The scenario's `[fleet]` section. Fleet transfers build their tuners
+/// with the default [`OptimizerSpec`], so an `[optimizer]` section next
+/// to `[fleet]` is an error rather than silently ignored.
+fn fleet_section(sc: &Scenario) -> Result<&FleetSpec, ParseError> {
+    if sc.optimizer.is_some() {
+        return Err(ParseError(
+            "[optimizer] applies to [agent] tuners only; [fleet] tuners use the defaults".into(),
+        ));
+    }
+    sc.fleet
+        .as_ref()
+        .ok_or_else(|| ParseError("scenario has no [fleet] section".into()))
+}
+
 /// Build the fleet campaign a `[fleet]` scenario describes. `duration` and
 /// `seed` come from the top-level keys.
 fn fleet_campaign_spec(sc: &Scenario, f: &FleetSpec) -> Result<CampaignSpec, ParseError> {
-    let tuner = FleetTuner::from_name(&f.tuner).ok_or_else(|| {
-        ParseError(format!(
-            "unknown fleet tuner {:?} (expected falcon-gd|falcon-hc|falcon-bo|rl:bandit|rl:q|rl:warm|fixed:<cc>)",
-            f.tuner
-        ))
-    })?;
+    let tuner = TunerSpec::parse(&f.tuner).map_err(ParseError)?;
     Ok(CampaignSpec {
         topology: FleetTopology::multi_bottleneck(&f.links_mbps),
         workload: Workload {
@@ -777,10 +683,7 @@ fn fleet_campaign_spec(sc: &Scenario, f: &FleetSpec) -> Result<CampaignSpec, Par
 
 /// Run a `[fleet]` scenario's campaign, emitting into `tracer`.
 pub fn run_fleet(sc: &Scenario, tracer: Tracer) -> Result<CampaignOutcome, ParseError> {
-    let f = sc
-        .fleet
-        .as_ref()
-        .ok_or_else(|| ParseError("scenario has no [fleet] section".into()))?;
+    let f = fleet_section(sc)?;
     let spec = fleet_campaign_spec(sc, f)?;
     Ok(falcon_fleet::run_campaign_with_tracer(&spec, tracer))
 }
@@ -790,8 +693,8 @@ pub fn run_fleet(sc: &Scenario, tracer: Tracer) -> Result<CampaignOutcome, Parse
 /// count; `tuner = rl:bandit|rl:q|rl:warm` gives every transfer its own
 /// learning tuner (probing every
 /// [`falcon_fleet::PROBE_INTERVAL_S`] seconds, with the workload's
-/// default concurrency as the search ceiling); any other tuner name
-/// keeps the fixed default.
+/// default concurrency as the search ceiling); any other tuner is an
+/// error.
 fn fleet_scale_spec(
     sc: &Scenario,
     f: &FleetSpec,
@@ -810,12 +713,16 @@ fn fleet_scale_spec(
         tenants: f.tenants,
         ..falcon_fleet::ScaleWorkload::default()
     };
-    if let Some(cc) = f.tuner.strip_prefix("fixed:") {
-        workload.concurrency = cc
-            .parse()
-            .map_err(|_| ParseError(format!("bad fixed tuner {:?}", f.tuner)))?;
-    } else if let Some(FleetTuner::Rl(kind)) = FleetTuner::from_name(&f.tuner) {
-        workload.tuner = ScaleTuner::Rl(kind);
+    match TunerSpec::parse(&f.tuner).map_err(ParseError)? {
+        TunerSpec::Fixed(cc) => workload.concurrency = cc,
+        TunerSpec::Rl(kind) => workload.tuner = ScaleTuner::Rl(kind),
+        _ => {
+            return Err(ParseError(format!(
+                "the scale engine cannot run tuner {:?} \
+                 (expected fixed:<cc>|rl:bandit|rl:q|rl:warm)",
+                f.tuner
+            )))
+        }
     }
     let failures = falcon_fleet::correlated_failure_waves(&topology, f.failures, sc.duration_s);
     Ok(falcon_fleet::ScaleCampaignSpec {
@@ -835,10 +742,7 @@ pub fn run_fleet_scale(
     sc: &Scenario,
     tracer: &Tracer,
 ) -> Result<falcon_fleet::ScaleReport, ParseError> {
-    let f = sc
-        .fleet
-        .as_ref()
-        .ok_or_else(|| ParseError("scenario has no [fleet] section".into()))?;
+    let f = fleet_section(sc)?;
     let spec = fleet_scale_spec(sc, f)?;
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -896,7 +800,11 @@ fn run_with_tracer(
     let mut plans = Vec::new();
     let opt = sc.optimizer.clone().unwrap_or_default();
     for (i, a) in sc.agents.iter().enumerate() {
-        let tuner = make_tuner(&a.tuner, &opt, max_cc, sc.seed.wrapping_add(i as u64))?;
+        let tuner = TunerSpec::parse(&a.tuner).map_err(ParseError)?.build(
+            &opt,
+            max_cc,
+            sc.seed.wrapping_add(i as u64),
+        );
         let dataset = make_dataset(&a.dataset)?;
         let mut plan = AgentPlan::joining_at(tuner, dataset, a.start_s);
         if let Some(leave) = a.leave_s {
@@ -1018,6 +926,7 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falcon_rl::BanditParams;
 
     const SAMPLE: &str = "\
 # comment
@@ -1145,29 +1054,6 @@ agent = 0
         let gd_line = out.lines().find(|l| l.contains("falcon-gd")).unwrap();
         let tail: f64 = gd_line.split_whitespace().nth(3).unwrap().parse().unwrap();
         assert!(tail > 0.5, "GD tail {tail} Gbps\n{out}");
-    }
-
-    #[test]
-    fn every_tuner_name_constructs() {
-        let opt = OptimizerSpec::default();
-        for t in [
-            "falcon-gd",
-            "falcon-bo",
-            "falcon-hc",
-            "falcon-mp",
-            "rl:bandit",
-            "rl:q",
-            "rl:warm",
-            "globus",
-            "harp",
-            "harp:20",
-            "harp-rt",
-            "fixed:8",
-        ] {
-            assert!(make_tuner(t, &opt, 32, 1).is_ok(), "{t}");
-        }
-        assert!(make_tuner("skynet", &opt, 32, 1).is_err());
-        assert!(make_tuner("rl:sarsa", &opt, 32, 1).is_err());
     }
 
     #[test]
@@ -1405,6 +1291,52 @@ agent = 0
         assert!(report.probes > 0, "rl scale run must take probe decisions");
         let log = tracer.take_log();
         assert_eq!(log.counter("fleet.scale.probes"), Some(report.probes));
+    }
+
+    #[test]
+    fn every_engine_rejects_malformed_tuner_parameters() {
+        for text in [
+            "[agent]\ntuner = fixed:0\n",
+            "[agent]\ntuner = harp:nan\n",
+            "[fleet]\ntuner = fixed:0\n",
+            "[fleet]\ntopology = dumbbell:2x2\ntuner = fixed:0\n",
+        ] {
+            let sc = parse(text).unwrap();
+            let err = run(&sc).unwrap_err().0;
+            let spelling = text.rsplit("tuner = ").next().unwrap().trim();
+            assert!(err.contains(&format!("{spelling:?}")), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn scale_fleet_rejects_tuners_it_cannot_run() {
+        // No tuner key means the default falcon-gd. These scenarios still
+        // parse; the scale engine refuses them at run time.
+        for tuner in [
+            "",
+            "tuner = falcon-gd\n",
+            "tuner = globus\n",
+            "tuner = harp:20\n",
+        ] {
+            let sc = parse(&format!("[fleet]\ntopology = dumbbell:2x2\n{tuner}")).unwrap();
+            let err = run(&sc).unwrap_err().0;
+            assert!(
+                err.contains("fixed:<cc>|rl:bandit|rl:q|rl:warm"),
+                "{tuner:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_scenarios_reject_an_optimizer_section() {
+        for fleet in [
+            "links = 500, 800\n",
+            "topology = dumbbell:2x2\ntuner = rl:warm\n",
+        ] {
+            let sc = parse(&format!("[fleet]\n{fleet}\n[optimizer]\nwarm_gbps = 40\n")).unwrap();
+            let err = run(&sc).unwrap_err().0;
+            assert!(err.contains("[optimizer]"), "{fleet:?}: {err}");
+        }
     }
 
     #[test]

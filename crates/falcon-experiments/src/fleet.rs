@@ -59,7 +59,7 @@ pub fn fleet_over_seeds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_fleet::{FleetTopology, FleetTuner, Workload};
+    use falcon_fleet::{FleetTopology, TunerSpec, Workload};
 
     fn quick(seed: u64) -> CampaignSpec {
         CampaignSpec {
@@ -70,7 +70,7 @@ mod tests {
                 mean_file_mb: 200.0,
                 anchor_gb: 6.0,
             },
-            tuner: FleetTuner::GradientDescent,
+            tuner: TunerSpec::GradientDescent,
             duration_s: 120.0,
             seed,
         }

@@ -6,7 +6,7 @@
 //! multi-bottleneck churn fleet of `scenarios/fleet_churn.ini`
 //! (aggregate goodput, worst per-bottleneck Jain, convergence count).
 
-use falcon_fleet::{run_campaign, CampaignSpec, FleetTuner, RlKind};
+use falcon_fleet::{run_campaign, CampaignSpec, OptimizerSpec, RlKind, TunerSpec};
 use falcon_sim::Environment;
 use falcon_trace::TraceQuery;
 
@@ -15,13 +15,13 @@ use crate::Table;
 
 /// The head-to-head lineup: the paper's online optimizers, then the
 /// learning tuners.
-pub const LINEUP: [FleetTuner; 6] = [
-    FleetTuner::HillClimbing,
-    FleetTuner::GradientDescent,
-    FleetTuner::Bayesian,
-    FleetTuner::Rl(RlKind::Bandit),
-    FleetTuner::Rl(RlKind::Q),
-    FleetTuner::Rl(RlKind::Warm),
+pub const LINEUP: [TunerSpec; 6] = [
+    TunerSpec::HillClimbing,
+    TunerSpec::GradientDescent,
+    TunerSpec::Bayesian,
+    TunerSpec::Rl(RlKind::Bandit),
+    TunerSpec::Rl(RlKind::Q),
+    TunerSpec::Rl(RlKind::Warm),
 ];
 
 /// `rl` experiment: the full lineup at the scenario-file shapes —
@@ -47,7 +47,7 @@ pub fn rl_head_to_head() -> Table {
 /// and decisions taken. Churn columns: settle-window aggregate goodput,
 /// worst per-bottleneck Jain, and transfers that converged.
 pub fn head_to_head(
-    lineup: &[FleetTuner],
+    lineup: &[TunerSpec],
     flap: LinkFlap,
     flap_seed: u64,
     churn: &CampaignSpec,
@@ -71,7 +71,12 @@ pub fn head_to_head(
         let env = Environment::emulab(100.0);
         let achievable = achievable_mbps(&env, 1.0);
         let max_cc = env.max_concurrency;
-        let (trace, log, _) = flap_run(env, tuner.make(max_cc, flap_seed), flap_seed, flap);
+        let (trace, log, _) = flap_run(
+            env,
+            tuner.build(&OptimizerSpec::default(), max_cc, flap_seed),
+            flap_seed,
+            flap,
+        );
         let q = TraceQuery::new(&log).agent(0);
         let util = trace.avg_mbps(0, 0.6 * flap.drop_s, flap.drop_s) / achievable;
         let out = run_campaign(&CampaignSpec {
@@ -81,7 +86,7 @@ pub fn head_to_head(
         let r = &out.report;
         let fmt_t = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{s:.0}"));
         vec![
-            tuner.name(),
+            tuner.to_string(),
             fmt_t(q.convergence_time()),
             format!("{util:.2}"),
             fmt_t(q.convergence_after(flap.drop_s)),
@@ -120,7 +125,7 @@ mod tests {
                 mean_file_mb: 150.0,
                 anchor_gb: 4.0,
             },
-            tuner: FleetTuner::GradientDescent,
+            tuner: TunerSpec::GradientDescent,
             duration_s: 120.0,
             seed: 7,
         };
@@ -131,17 +136,17 @@ mod tests {
     fn head_to_head_rows_cover_the_lineup() {
         let (flap, churn) = quick();
         let lineup = [
-            FleetTuner::GradientDescent,
-            FleetTuner::Rl(RlKind::Bandit),
-            FleetTuner::Rl(RlKind::Warm),
+            TunerSpec::GradientDescent,
+            TunerSpec::Rl(RlKind::Bandit),
+            TunerSpec::Rl(RlKind::Warm),
         ];
         let t = head_to_head(&lineup, flap, 5, &churn, 2);
         assert_eq!(t.rows.len(), lineup.len());
         for tuner in lineup {
             assert!(
-                t.rows.iter().any(|r| r[0] == tuner.name()),
+                t.rows.iter().any(|r| r[0] == tuner.to_string()),
                 "missing row for {}:\n{}",
-                tuner.name(),
+                tuner,
                 t.render()
             );
         }
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn head_to_head_is_identical_across_worker_counts() {
         let (flap, churn) = quick();
-        let lineup = [FleetTuner::Rl(RlKind::Bandit), FleetTuner::Rl(RlKind::Q)];
+        let lineup = [TunerSpec::Rl(RlKind::Bandit), TunerSpec::Rl(RlKind::Q)];
         let serial = head_to_head(&lineup, flap, 5, &churn, 1);
         let fanned = head_to_head(&lineup, flap, 5, &churn, 4);
         assert_eq!(serial.render(), fanned.render());

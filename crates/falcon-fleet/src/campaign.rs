@@ -1,105 +1,15 @@
 //! The campaign runner: drive a generated workload of concurrently-tuning
 //! transfers through the shared experiment runner.
 
-use falcon_baselines::HarpHistory;
-use falcon_core::{FalconAgent, TransferSettings};
 use falcon_sim::Simulation;
 use falcon_trace::{TraceLog, Tracer};
 use falcon_transfer::harness::SimHarness;
-use falcon_transfer::runner::{AgentPlan, FixedTuner, RunTrace, Runner, Tuner};
+use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
 
 use crate::report::FleetReport;
 use crate::topology::FleetTopology;
+use crate::tuner::{OptimizerSpec, TunerSpec};
 use crate::workload::{generate, Workload};
-
-/// Which learning-based tuner an `rl:*` fleet transfer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RlKind {
-    /// Seeded epsilon-greedy/UCB bandit over the concurrency lattice.
-    Bandit,
-    /// Tabular Q-learner with coarse state features.
-    Q,
-    /// Bandit warm-started from an offline 10G-corpus value table.
-    Warm,
-}
-
-impl RlKind {
-    /// Scenario-file spelling (`rl:bandit`, `rl:q`, `rl:warm`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RlKind::Bandit => "rl:bandit",
-            RlKind::Q => "rl:q",
-            RlKind::Warm => "rl:warm",
-        }
-    }
-}
-
-/// The optimizer every fleet transfer tunes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetTuner {
-    /// Falcon gradient descent (the paper's shared-network choice).
-    GradientDescent,
-    /// Falcon hill climbing.
-    HillClimbing,
-    /// Falcon Bayesian optimization.
-    Bayesian,
-    /// A learning-based tuner from `falcon-rl`.
-    Rl(RlKind),
-    /// No tuning: fixed concurrency (ablation baseline).
-    Fixed(u32),
-}
-
-impl FleetTuner {
-    /// Parse the scenario-file spelling (`falcon-gd`, `falcon-hc`,
-    /// `falcon-bo`, `rl:bandit`, `rl:q`, `rl:warm`, `fixed:<cc>`).
-    pub fn from_name(s: &str) -> Option<FleetTuner> {
-        if let Some(cc) = s.strip_prefix("fixed:") {
-            return cc.parse().ok().map(FleetTuner::Fixed);
-        }
-        Some(match s {
-            "falcon-gd" => FleetTuner::GradientDescent,
-            "falcon-hc" => FleetTuner::HillClimbing,
-            "falcon-bo" => FleetTuner::Bayesian,
-            "rl:bandit" => FleetTuner::Rl(RlKind::Bandit),
-            "rl:q" => FleetTuner::Rl(RlKind::Q),
-            "rl:warm" => FleetTuner::Rl(RlKind::Warm),
-            _ => return None,
-        })
-    }
-
-    /// Inverse of [`FleetTuner::from_name`].
-    pub fn name(self) -> String {
-        match self {
-            FleetTuner::GradientDescent => "falcon-gd".to_string(),
-            FleetTuner::HillClimbing => "falcon-hc".to_string(),
-            FleetTuner::Bayesian => "falcon-bo".to_string(),
-            FleetTuner::Rl(kind) => kind.name().to_string(),
-            FleetTuner::Fixed(cc) => format!("fixed:{cc}"),
-        }
-    }
-
-    /// Build one transfer's tuner. Public so the experiment suite builds
-    /// its head-to-head agents through the same constructor the campaigns
-    /// use.
-    pub fn make(self, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
-        match self {
-            FleetTuner::GradientDescent => Box::new(FalconAgent::gradient_descent(max_cc)),
-            FleetTuner::HillClimbing => Box::new(FalconAgent::hill_climbing(max_cc)),
-            FleetTuner::Bayesian => Box::new(FalconAgent::bayesian(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Bandit) => Box::new(falcon_rl::bandit_agent(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Q) => Box::new(falcon_rl::q_agent(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Warm) => Box::new(falcon_rl::warm_agent(
-                max_cc,
-                seed,
-                &HarpHistory::ten_gig_corpus(),
-            )),
-            FleetTuner::Fixed(cc) => Box::new(FixedTuner {
-                settings: TransferSettings::with_concurrency(cc),
-                name: format!("fixed:{cc}"),
-            }),
-        }
-    }
-}
 
 /// Everything a campaign needs: where transfers run, what arrives, who
 /// tunes, for how long, and under which seed.
@@ -109,8 +19,9 @@ pub struct CampaignSpec {
     pub topology: FleetTopology,
     /// Arrival/size/route distribution parameters.
     pub workload: Workload,
-    /// Optimizer for every transfer.
-    pub tuner: FleetTuner,
+    /// Tuner for every transfer, built with the default
+    /// [`OptimizerSpec`].
+    pub tuner: TunerSpec,
     /// Campaign length (simulated seconds).
     pub duration_s: f64,
     /// Master seed: the simulator, the workload generator, and each
@@ -125,7 +36,7 @@ impl CampaignSpec {
             // falcon-lint::allow(determinism-taint, reason = "taint rides the `fleet` name collision inside multi_bottleneck (see topology.rs); campaign construction is pure")
             topology: FleetTopology::multi_bottleneck(&[1000.0, 1600.0, 2500.0]),
             workload: Workload::default(),
-            tuner: FleetTuner::GradientDescent,
+            tuner: TunerSpec::GradientDescent,
             duration_s: 600.0,
             seed,
         }
@@ -167,11 +78,14 @@ pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> Campaign
         .collect();
     let mut harness = SimHarness::new(sim).with_agent_paths(masks);
     let max_cc = spec.topology.env.max_concurrency;
+    let opt = OptimizerSpec::default();
     let plans: Vec<AgentPlan> = specs
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let tuner = spec.tuner.make(max_cc, spec.seed.wrapping_add(i as u64));
+            let tuner = spec
+                .tuner
+                .build(&opt, max_cc, spec.seed.wrapping_add(i as u64));
             AgentPlan::joining_at(tuner, t.dataset.clone(), t.start_s)
         })
         .collect();
@@ -216,27 +130,10 @@ mod tests {
                 mean_file_mb: 300.0,
                 anchor_gb: 10.0,
             },
-            tuner: FleetTuner::GradientDescent,
+            tuner: TunerSpec::GradientDescent,
             duration_s: 180.0,
             seed,
         }
-    }
-
-    #[test]
-    fn tuner_names_round_trip() {
-        for t in [
-            FleetTuner::GradientDescent,
-            FleetTuner::HillClimbing,
-            FleetTuner::Bayesian,
-            FleetTuner::Rl(RlKind::Bandit),
-            FleetTuner::Rl(RlKind::Q),
-            FleetTuner::Rl(RlKind::Warm),
-            FleetTuner::Fixed(8),
-        ] {
-            assert_eq!(FleetTuner::from_name(&t.name()), Some(t));
-        }
-        assert_eq!(FleetTuner::from_name("globus"), None);
-        assert_eq!(FleetTuner::from_name("rl:sarsa"), None);
     }
 
     #[test]

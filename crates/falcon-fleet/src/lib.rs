@@ -12,8 +12,11 @@
 //! - [`Workload`] / [`generate`]: a deterministic workload generator —
 //!   seeded Poisson-like arrivals, file-size and route distributions,
 //!   long-lived anchor transfers per route, departures on completion.
-//! - [`run_campaign`]: drives every arrival through a
-//!   [`falcon_core::FalconAgent`] optimizer via the shared
+//! - [`TunerSpec`]: the tuner registry. Every tuner spelling
+//!   (`falcon-gd`, `rl:warm`, `fixed:<cc>`, ...) is parsed and built here,
+//!   for scenario agents, both engines and the experiments alike.
+//! - [`run_campaign`]: drives every arrival through its own
+//!   [`TunerSpec`]-built tuner via the shared
 //!   [`falcon_transfer::runner::Runner`], emitting `falcon-trace` events.
 //! - [`FleetReport`]: per-link utilization and Jain's fairness index per
 //!   bottleneck (over the transfers *bound* by that bottleneck), plus
@@ -37,15 +40,15 @@ mod campaign;
 mod report;
 mod scale;
 mod topology;
+mod tuner;
 mod workload;
 
-pub use campaign::{
-    run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec, FleetTuner, RlKind,
-};
+pub use campaign::{run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec};
 pub use report::{FleetReport, LinkReport};
 pub use scale::{
     correlated_failure_waves, run_scale_campaign, run_scale_campaign_traced, LinkFailure,
     ScaleCampaignSpec, ScaleReport, ScaleTuner, ScaleWorkload, PROBE_INTERVAL_S,
 };
 pub use topology::{FleetTopology, PathSpec, RouteSpec, ScaleLink, ScaleTopology};
+pub use tuner::{OptimizerSpec, RlKind, TunerSpec};
 pub use workload::{generate, TransferSpec, Workload};

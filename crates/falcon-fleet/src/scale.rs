@@ -20,7 +20,6 @@
 //! `tests/fleet_scale.rs` checks at 1 vs 4 vs 8 threads on a
 //! 10⁵-transfer fat-tree campaign.
 
-use falcon_baselines::HarpHistory;
 use falcon_core::{FalconAgent, ProbeMetrics, TransferSettings};
 use falcon_sim::alloc::IncrementalMaxMin;
 use falcon_sim::EventQueue;
@@ -28,8 +27,8 @@ use falcon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::campaign::RlKind;
 use crate::topology::ScaleTopology;
+use crate::tuner::{OptimizerSpec, RlKind, TunerSpec};
 
 /// Probe cadence for [`ScaleTuner::Rl`] transfers — matches the
 /// testbed's 5 s sample interval ([`falcon_sim::Environment`]'s
@@ -58,7 +57,8 @@ pub enum ScaleTuner {
     /// Pinned concurrency, no probes (the pre-tuner engine).
     #[default]
     Fixed,
-    /// A per-transfer `falcon-rl` tuner.
+    /// A per-transfer `falcon-rl` tuner, built by [`TunerSpec::Rl`] with
+    /// the default [`OptimizerSpec`].
     Rl(RlKind),
 }
 
@@ -610,15 +610,6 @@ enum ShardEvent {
     },
 }
 
-/// Build one transfer's tuner agent for the scale engine.
-fn make_rl_agent(kind: RlKind, max_cc: u32, seed: u64) -> FalconAgent {
-    match kind {
-        RlKind::Bandit => falcon_rl::bandit_agent(max_cc, seed),
-        RlKind::Q => falcon_rl::q_agent(max_cc, seed),
-        RlKind::Warm => falcon_rl::warm_agent(max_cc, seed, &HarpHistory::ten_gig_corpus()),
-    }
-}
-
 /// Per-transfer state, structure-of-arrays indexed by the allocator's
 /// stream id. The free-list keeps these arrays sized at the peak-active
 /// watermark rather than total arrivals.
@@ -721,6 +712,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
     let mut active = 0u32;
     let mut affected: Vec<u32> = Vec::new();
     let rl = input.tuner != ScaleTuner::Fixed;
+    let opt = OptimizerSpec::default();
 
     while let Some((t, _, ev)) = queue.pop() {
         out.makespan_s = out.makespan_s.max(t);
@@ -731,17 +723,17 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
             ShardEvent::Arrive { idx } => {
                 let (_, route, size_mbits, gidx) = input.arrivals[idx as usize];
                 let r = route as usize;
-                let mut cc = input.concurrency;
-                let mut agent = None;
-                if let ScaleTuner::Rl(kind) = input.tuner {
-                    let a = make_rl_agent(
-                        kind,
+                let agent = match input.tuner {
+                    ScaleTuner::Rl(kind) => TunerSpec::Rl(kind).agent(
+                        &opt,
                         input.concurrency,
                         falcon_par::task_seed(input.seed, gidx as usize),
-                    );
-                    cc = a.initial_settings().concurrency.clamp(1, input.concurrency);
-                    agent = Some(a);
-                }
+                    ),
+                    ScaleTuner::Fixed => None,
+                };
+                let cc = agent.as_ref().map_or(input.concurrency, |a| {
+                    a.initial_settings().concurrency.clamp(1, input.concurrency)
+                });
                 let id = alloc.add_stream(
                     f64::from(cc) * input.per_conn_cap,
                     f64::from(cc) * input.route_weight[r],

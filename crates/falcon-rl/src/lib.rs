@@ -44,8 +44,7 @@ pub use bandit::{BanditOptimizer, BanditParams};
 pub use qlearn::{QParams, TabularQOptimizer};
 pub use warm::WarmTable;
 
-use falcon_baselines::HarpHistory;
-use falcon_core::{FalconAgent, SearchBounds, TransferSettings, UtilityFunction};
+use falcon_core::{SearchBounds, TransferSettings};
 
 /// SplitMix64 stream: golden-ratio state advance plus the same finalizer
 /// constants as `falcon_par::task_seed`. A pure function of the seed and
@@ -128,42 +127,6 @@ pub fn arm_lattice(bounds: &SearchBounds) -> Vec<TransferSettings> {
     arms
 }
 
-/// A `falcon-rl-bandit` agent: seeded bandit behind the Eq 4 utility.
-#[must_use]
-pub fn bandit_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(BanditOptimizer::new(BanditParams::new(
-            max_concurrency,
-            seed,
-        ))),
-    )
-}
-
-/// A `falcon-rl-q` agent: tabular-Q learner behind the Eq 4 utility.
-#[must_use]
-pub fn q_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(TabularQOptimizer::new(QParams::new(max_concurrency, seed))),
-    )
-}
-
-/// A `falcon-rl-warm` agent: bandit warm-started from synthetic traces of
-/// `history`'s environment, adapting online from there.
-#[must_use]
-pub fn warm_agent(max_concurrency: u32, seed: u64, history: &HarpHistory) -> FalconAgent {
-    let bounds = SearchBounds::concurrency_only(max_concurrency);
-    let table = WarmTable::fit(history, &bounds, 24, seed);
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(BanditOptimizer::warm_started(
-            BanditParams::new(max_concurrency, seed),
-            &table,
-        )),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +199,5 @@ mod tests {
         assert_eq!(arms[0].concurrency, 1);
         assert_eq!(arms[1].concurrency, 2);
         assert_eq!(arms[0].parallelism, arms[1].parallelism);
-    }
-
-    #[test]
-    fn agents_have_rl_optimizer_names() {
-        assert_eq!(bandit_agent(64, 7).optimizer_name(), "rl-bandit");
-        assert_eq!(q_agent(64, 7).optimizer_name(), "rl-q");
-        assert_eq!(
-            warm_agent(64, 7, &HarpHistory::ten_gig_corpus()).optimizer_name(),
-            "rl-warm"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! churn campaign must stay deterministic and fair on every bottleneck.
 
 use falcon_repro::fleet::{
-    run_campaign, CampaignOutcome, CampaignSpec, FleetTopology, FleetTuner, Workload,
+    run_campaign, CampaignOutcome, CampaignSpec, FleetTopology, TunerSpec, Workload,
 };
 
 fn quick_spec(seed: u64) -> CampaignSpec {
@@ -14,7 +14,7 @@ fn quick_spec(seed: u64) -> CampaignSpec {
             mean_file_mb: 300.0,
             anchor_gb: 12.0,
         },
-        tuner: FleetTuner::GradientDescent,
+        tuner: TunerSpec::GradientDescent,
         duration_s: 240.0,
         seed,
     }
